@@ -23,17 +23,46 @@ the path has string value equal to the literal.
 
 The conjunctive, or-free fragment converts to a tree pattern via
 :func:`path_to_pattern` (used when updates/views are fed to the
-algebraic machinery); arbitrary filters are evaluated directly against
-a document via :func:`evaluate_path` (the paper delegates this job to
-Saxon -- finding target nodes -- which we replace here).
+algebraic machinery).  Finding the target nodes of an update -- the
+job the paper delegates to Saxon -- is :meth:`PathExpr.evaluate`, a
+small shape-based planner:
+
+* a path with at least one ``//`` step whose last step names a
+  concrete label (``a``, ``@a`` or ``text()``) is evaluated bottom-up.
+  Candidates are seeded from the document's label index (``R_a``),
+  or, when a conjunctive child-only predicate of the last step names
+  a rarer leaf label (``//person[name/dirt3]``), from that leaf's row
+  climbed the predicate's fixed number of parents.  A candidate is
+  kept if it passes the last step's test and predicates and the step
+  prefix verifies *upward* along parent pointers (a child step checks
+  the parent, a ``//`` step tries each ancestor; memoized per Dewey
+  ID and step).  Label rows are document-ordered, so the result needs
+  no sort;
+* child-only chains anchored at the root and paths ending in ``*``
+  keep the top-down navigational walk
+  (:meth:`PathExpr._evaluate_navigational`), which is cheaper there
+  than verifying every node of a large row.
+
+Predicates (``and`` / ``or`` / ``=`` / existence) are always evaluated
+downward from the node they filter, so both strategies return the
+same target list.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.pattern.tree_pattern import Pattern, PatternNode
-from repro.xmldom.model import AttributeNode, Document, ElementNode, Node, TextNode
+from repro.xmldom.dewey import DeweyID
+from repro.xmldom.model import (
+    TEXT_LABEL,
+    AttributeNode,
+    Document,
+    ElementNode,
+    Node,
+    TextNode,
+)
 
 
 class XPathSyntaxError(ValueError):
@@ -177,14 +206,114 @@ class PathExpr:
                     if match.id not in seen:
                         seen.add(match.id)
                         next_frontier.append(match)
-            next_frontier.sort(key=lambda n: n.id)
+            next_frontier.sort(key=lambda n: n.id.sort_key)
             frontier = next_frontier
             if not frontier:
                 break
         return iter(frontier)
 
+    @cached_property
+    def _bottom_up(self) -> bool:
+        """The shape rule of :meth:`evaluate`, decided once per path
+        (lazily, so paths unpickled from an older statement log get it
+        too)."""
+        return self.steps[-1].test != "*" and any(
+            step.axis == "desc" for step in self.steps
+        )
+
     def evaluate(self, document: Document) -> List[Node]:
-        """Absolute evaluation: target nodes in document order."""
+        """Absolute evaluation: target nodes in document order.
+
+        Plans by shape (see the module docstring): bottom-up from the
+        label index when the path has a ``//`` step and ends in a
+        concrete label, navigational otherwise.
+        """
+        if not self._bottom_up:
+            return self._evaluate_navigational(document)
+        last = len(self.steps) - 1
+        root = document.root
+        memo: Dict[Tuple[DeweyID, int], bool] = {}
+        return [
+            node
+            for node in self._seed(document)
+            if self._verify_upward(node, last, root, memo)
+        ]
+
+    def _seed(self, document: Document) -> List[Node]:
+        """Document-ordered candidates for the last step.
+
+        The last step's label row, unless a conjunctive child-only
+        predicate of that step ends in a rarer label: every node that
+        passes the predicate is then a fixed-height ancestor of a node
+        of that row.
+        """
+        last = self.steps[-1]
+        seeds = document.nodes_with_label(_index_label(last.test))
+        height = 0
+        for predicate in _conjuncts(last.predicates):
+            leaf = _child_chain_leaf(predicate)
+            if leaf is None:
+                continue
+            row = document.nodes_with_label(leaf[0])
+            if len(row) < len(seeds):
+                seeds, height = row, leaf[1]
+        if not height:
+            return seeds
+        seen = set()
+        lifted: List[Node] = []
+        for leaf_node in seeds:
+            node: Optional[Node] = leaf_node
+            for _ in range(height):
+                node = node.parent
+                if node is None:
+                    break
+            if node is not None and node.id not in seen:
+                seen.add(node.id)
+                lifted.append(node)
+        # Leaves at different depths can lift out of document order.
+        lifted.sort(key=lambda n: n.id.sort_key)
+        return lifted
+
+    def _verify_upward(
+        self,
+        node: Node,
+        index: int,
+        root: ElementNode,
+        memo: Dict[Tuple[DeweyID, int], bool],
+    ) -> bool:
+        """Does ``node`` match ``steps[index]`` reached from the root
+        through ``steps[:index]``?"""
+        step = self.steps[index]
+        if not _test_matches(step.test, node):
+            return False
+        # Seeds are distinct: only nodes checked against a prefix step
+        # can be reached twice.
+        key = None
+        if index < len(self.steps) - 1:
+            key = (node.id, index)
+            known = memo.get(key)
+            if known is not None:
+                return known
+        if not all(pred.evaluate(node) for pred in step.predicates):
+            matched = False
+        elif index == 0:
+            matched = step.axis == "desc" or node is root
+        elif step.axis == "child":
+            parent = node.parent
+            matched = parent is not None and self._verify_upward(
+                parent, index - 1, root, memo
+            )
+        else:
+            matched = any(
+                self._verify_upward(ancestor, index - 1, root, memo)
+                for ancestor in node.ancestors()
+            )
+        if key is not None:
+            memo[key] = matched
+        return matched
+
+    def _evaluate_navigational(self, document: Document) -> List[Node]:
+        """Top-down evaluation: walk from the root, step by step."""
         first, rest = self.steps[0], self.steps[1:]
         roots: List[Node] = []
         root = document.root
@@ -209,7 +338,7 @@ class PathExpr:
                 if match.id not in seen:
                     seen.add(match.id)
                     out.append(match)
-        out.sort(key=lambda n: n.id)
+        out.sort(key=lambda n: n.id.sort_key)
         return out
 
     # -- properties ------------------------------------------------------------
@@ -219,6 +348,33 @@ class PathExpr:
 
     def __repr__(self) -> str:
         return "".join(repr(step) for step in self.steps)
+
+
+def _index_label(test: str) -> str:
+    """The label-index row holding the nodes a concrete name test
+    accepts (attributes are indexed as ``@name``)."""
+    return TEXT_LABEL if test == "text()" else test
+
+
+def _conjuncts(predicates: Sequence[FilterExpr]) -> Iterator[FilterExpr]:
+    """The filters every match of ``predicates`` must pass (``and``
+    flattened, ``or`` left whole)."""
+    for predicate in predicates:
+        if isinstance(predicate, AndFilter):
+            yield from _conjuncts(predicate.parts)
+        else:
+            yield predicate
+
+
+def _child_chain_leaf(predicate: FilterExpr) -> Optional[Tuple[str, int]]:
+    """``(leaf label, height)`` when ``predicate`` requires a node
+    reached by ``height`` child steps ending in a concrete label."""
+    if not isinstance(predicate, (ExistsFilter, ValueFilter)) or predicate.path is None:
+        return None
+    steps = predicate.path.steps
+    if steps[-1].test == "*" or any(step.axis != "child" for step in steps):
+        return None
+    return _index_label(steps[-1].test), len(steps)
 
 
 def _test_matches(test: str, node: Node) -> bool:

@@ -112,13 +112,6 @@ class ShardPlanner:
     def shard_of(self, label: str) -> int:
         return shard_of_label(label, self.shards)
 
-    def partition_labels(self, labels: Sequence[str]) -> Dict[int, List[str]]:
-        """shard -> sorted labels it owns (only shards with labels)."""
-        out: Dict[int, List[str]] = {}
-        for label in sorted(set(labels)):
-            out.setdefault(self.shard_of(label), []).append(label)
-        return out
-
     def partition_candidates(
         self, candidates: BatchCandidates
     ) -> Dict[int, BatchCandidates]:

@@ -71,14 +71,6 @@ class PendingUpdateList:
     def extend(self, operations: Sequence[AtomicOp]) -> None:
         self.operations.extend(operations)
 
-    @classmethod
-    def merged(cls, puls: Sequence["PendingUpdateList"]) -> "PendingUpdateList":
-        """One PUL concatenating the atomic operations of many."""
-        out = cls()
-        for pul in puls:
-            out.extend(pul.operations)
-        return out
-
     def inserts(self) -> List[AtomicInsert]:
         return [op for op in self.operations if isinstance(op, AtomicInsert)]
 
@@ -220,11 +212,6 @@ class BatchApplication:
             self.applied.append(applied)
         return self
 
-    # -- merged PUL -------------------------------------------------------
-
-    def merged_pul(self) -> PendingUpdateList:
-        return PendingUpdateList.merged(self.puls)
-
     @property
     def pul_size(self) -> int:
         return sum(len(pul) for pul in self.puls)
@@ -321,9 +308,6 @@ class BatchApplication:
             ):
                 dirty.append(node)
         return dirty
-
-    def has_dirty_removals(self) -> bool:
-        return bool(self.dirty_removed_nodes())
 
     def __repr__(self) -> str:
         return "BatchApplication(%d statements, +%d ids, -%d records)" % (
